@@ -5,6 +5,7 @@ pub(crate) mod nosync;
 pub(crate) mod sync;
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -16,7 +17,7 @@ use crate::metrics::PartCounters;
 use crate::retry::{kv_with_retry, FaultRetry};
 use crate::{
     key_to_routed, AggValue, AggregatorRegistry, EbspError, Envelope, ExecutionPlan, Exporter, Job,
-    LoadSink,
+    LoadSink, Loader,
 };
 
 /// Everything about one job run that both engines (and every part task)
@@ -114,6 +115,19 @@ impl<S: KvStore> StateOps for GlobalStateOps<S> {
     fn table_count(&self) -> usize {
         self.tables.len()
     }
+}
+
+/// The next value of the process-wide launch counter that names an
+/// engine's temporary tables, at a fixed width: names (and so the bytes a
+/// networked request carries for them) do not grow as launches add up.
+/// Durable runs name theirs by reference instead, stable across restarts.
+pub(crate) fn launch_nonce() -> String {
+    static NONCE: AtomicU64 = AtomicU64::new(1);
+    nonce_tag(NONCE.fetch_add(1, Ordering::Relaxed))
+}
+
+fn nonce_tag(counter: u64) -> String {
+    format!("{counter:016x}")
 }
 
 /// The destination part of an envelope addressed to `key`.
@@ -547,43 +561,65 @@ pub(crate) fn merge_aggregates_at_part(
     Ok(merged.into_iter().collect())
 }
 
-/// Loader output buffered at the controller before the run starts.
+/// Loader output buffered at the controller before the run starts: the
+/// encoded initial states per state table, and the step-0 envelopes and
+/// aggregator inputs.
 pub(crate) struct LoadBuffer<J: Job> {
+    states: Vec<Vec<(RoutedKey, Bytes)>>,
     pub(crate) envelopes: Vec<Envelope<J>>,
     pub(crate) agg: HashMap<String, AggValue>,
 }
 
-impl<J: Job> LoadBuffer<J> {
-    pub(crate) fn new() -> Self {
-        Self {
-            envelopes: Vec::new(),
-            agg: HashMap::new(),
+/// Runs `loaders` into a [`LoadBuffer`] and installs the staged initial
+/// states with one [`Table::put_batch`] per state table, so loading costs
+/// one store round trip per destination part rather than one per record.
+/// Records keep their load order, so a key loaded twice ends with its
+/// later value; replaying a batch after a transient failure rewrites the
+/// same values, so the retry is idempotent.  The returned buffer still
+/// holds the envelopes and aggregator inputs for the engine to seed.
+pub(crate) fn load_initial_condition<S: KvStore, J: Job>(
+    env: &JobEnv<S, J>,
+    loaders: Vec<Box<dyn Loader<J>>>,
+    retry: &FaultRetry,
+) -> Result<LoadBuffer<J>, EbspError> {
+    let mut buffer = LoadBuffer {
+        states: vec![Vec::new(); env.tables.len()],
+        envelopes: Vec::new(),
+        agg: HashMap::new(),
+    };
+    let mut sink = EngineLoadSink {
+        registry: &env.registry,
+        buffer: &mut buffer,
+    };
+    for loader in loaders {
+        loader.load(&mut sink)?;
+    }
+    for (table, records) in env.tables.iter().zip(std::mem::take(&mut buffer.states)) {
+        if !records.is_empty() {
+            // The controller as a pseudo-source, as for loader spills.
+            kv_with_retry(Some(retry), u32::MAX, || table.put_batch(records.clone()))?;
         }
     }
+    Ok(buffer)
 }
 
-/// The engine-side [`LoadSink`]: initial states go straight to the state
-/// tables (retried through the run's policy, since against a networked
-/// store a load-time put can fail transiently like any other operation);
-/// messages and enables buffer as step-0 envelopes.
-pub(crate) struct EngineLoadSink<'a, S: KvStore, J: Job> {
-    pub(crate) tables: &'a [S::Table],
-    pub(crate) registry: &'a AggregatorRegistry,
-    pub(crate) buffer: &'a mut LoadBuffer<J>,
-    pub(crate) retry: Option<&'a crate::retry::FaultRetry>,
+/// The engine-side [`LoadSink`]: initial states are encoded and staged
+/// per table (the index is checked here, at the offending call), messages
+/// and enables buffer as step-0 envelopes.
+struct EngineLoadSink<'a, J: Job> {
+    registry: &'a AggregatorRegistry,
+    buffer: &'a mut LoadBuffer<J>,
 }
 
-impl<S: KvStore, J: Job> LoadSink<J> for EngineLoadSink<'_, S, J> {
+impl<J: Job> LoadSink<J> for EngineLoadSink<'_, J> {
     fn state(&mut self, tab: usize, key: J::Key, state: J::State) -> Result<(), EbspError> {
-        let table = self.tables.get(tab).ok_or(EbspError::StateTableIndex {
-            index: tab,
-            tables: self.tables.len(),
-        })?;
-        let routed = key_to_routed(&key);
-        let value = to_wire(&state);
-        crate::retry::kv_with_retry(self.retry, routed.part_for(table.part_count()).0, || {
-            table.put(routed.clone(), value.clone())
-        })?;
+        let tables = self.buffer.states.len();
+        let staged = self
+            .buffer
+            .states
+            .get_mut(tab)
+            .ok_or(EbspError::StateTableIndex { index: tab, tables })?;
+        staged.push((key_to_routed(&key), to_wire(&state)));
         Ok(())
     }
 
@@ -614,5 +650,18 @@ impl<S: KvStore> Drop for TableGuard<S> {
             // Cleanup failures at teardown are not actionable.
             let _ = self.store.drop_table(name);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::nonce_tag;
+
+    #[test]
+    fn nonce_tags_keep_their_width_across_decimal_carries() {
+        for (a, b) in [(9, 10), (99, 100), (999, 1000), (1, u64::MAX)] {
+            assert_eq!(nonce_tag(a).len(), nonce_tag(b).len(), "{a} vs {b}");
+        }
+        assert_ne!(nonce_tag(9), nonce_tag(10));
     }
 }

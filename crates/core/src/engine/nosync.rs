@@ -42,7 +42,7 @@ use ripple_mq::{ChannelQueueSet, QueueReceiver, QueueSet, TableQueueSet};
 use ripple_wire::{from_wire, to_wire, ByteReader, ByteWriter, Decode, Encode, WireError};
 
 use crate::context::Outbox;
-use crate::engine::{dst_part, EngineLoadSink, JobEnv, LoadBuffer, LocalStateOps};
+use crate::engine::{dst_part, launch_nonce, load_initial_condition, JobEnv, LocalStateOps};
 use crate::metrics::PartCounters;
 use crate::retry::{kv_with_retry, FaultRetry};
 use crate::{
@@ -163,9 +163,7 @@ pub(crate) fn run_nosync<S: KvStore, J: Job>(
 }
 
 fn queue_name() -> String {
-    use std::sync::atomic::AtomicU64;
-    static NONCE: AtomicU64 = AtomicU64::new(1);
-    format!("__ebsp_nosync_{}", NONCE.fetch_add(1, Ordering::Relaxed))
+    format!("__ebsp_nosync_{}", launch_nonce())
 }
 
 fn drive<S: KvStore, J: Job, Q: QueueSet>(
@@ -182,18 +180,7 @@ fn drive<S: KvStore, J: Job, Q: QueueSet>(
     let retry = Arc::new(FaultRetry::new(opts.retry, opts.observer.clone()));
 
     // ----- Initial condition ------------------------------------------------
-    let mut buffer = LoadBuffer::new();
-    {
-        let mut sink = EngineLoadSink::<S, J> {
-            tables: &env.tables,
-            registry: &env.registry,
-            buffer: &mut buffer,
-            retry: Some(&retry),
-        };
-        for loader in loaders {
-            loader.load(&mut sink)?;
-        }
-    }
+    let buffer = load_initial_condition(env, loaders, &retry)?;
     let mut seeded = 0u64;
     for envelope in buffer.envelopes {
         let dst = dst_part(envelope.key(), parts);

@@ -40,8 +40,8 @@ use bytes::Bytes;
 use ripple_kv::{KvError, KvStore, PartId, RoutedKey, StoreMetrics, Table};
 
 use crate::engine::{
-    build_inbox_at_part, compute_at_part, write_spills, EngineLoadSink, JobEnv, LoadBuffer,
-    TableGuard,
+    build_inbox_at_part, compute_at_part, launch_nonce, load_initial_condition, write_spills,
+    JobEnv, TableGuard,
 };
 use crate::metrics::PartCounters;
 use crate::profile::{PartStepProfile, StepCounters, StepProfile};
@@ -177,7 +177,7 @@ pub(crate) fn run_sync<S: KvStore, J: Job>(
         && !env.plan.run_anywhere;
     let nonce = match &durable {
         Some(d) => d.nonce.clone(),
-        None => run_nonce().to_string(),
+        None => launch_nonce(),
     };
     let resuming = durable.as_ref().is_some_and(|d| d.resume.is_some());
     // Temp-table DDL is retried like every other store operation: against
@@ -272,18 +272,7 @@ pub(crate) fn run_sync<S: KvStore, J: Job>(
         step = rp.step;
     } else {
         // ----- Initial condition --------------------------------------------
-        let mut buffer = LoadBuffer::new();
-        {
-            let mut sink = EngineLoadSink::<S, J> {
-                tables: &env.tables,
-                registry: &env.registry,
-                buffer: &mut buffer,
-                retry: Some(&fault_retry),
-            };
-            for loader in loaders {
-                loader.load(&mut sink)?;
-            }
-        }
+        let buffer = load_initial_condition(env, loaders, &fault_retry)?;
         let mut initial_counters = PartCounters::default();
         write_spills(
             &*env.job,
@@ -1112,10 +1101,4 @@ fn recover_or_fail<S: KvStore, J: Job>(
     metrics.replayed_part_steps +=
         u64::from(env.parts()) * u64::from(failed_step.saturating_sub(record.step));
     Ok(())
-}
-
-fn run_nonce() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NONCE: AtomicU64 = AtomicU64::new(1);
-    NONCE.fetch_add(1, Ordering::Relaxed)
 }

@@ -15,9 +15,14 @@ use crate::{AggValue, EbspError, Job};
 pub trait LoadSink<J: Job> {
     /// Sets the initial state of component `key` in state table `tab`.
     ///
+    /// The engine stages states and installs them with one batched write
+    /// per table once every loader has returned; a key set twice keeps
+    /// its later state.
+    ///
     /// # Errors
     ///
-    /// Fails on bad table index or a store error.
+    /// Fails on bad table index; the engine's sink reports store errors
+    /// from the launch, when the staged states are written.
     fn state(&mut self, tab: usize, key: J::Key, state: J::State) -> Result<(), EbspError>;
 
     /// Queues an initial message for `to` (delivering it — and enabling

@@ -24,12 +24,13 @@
 //! below it), which bounds the count-to-infinity behaviour a
 //! distance-vector scheme exhibits when a region is disconnected.
 
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ripple_core::{
     AggValue, Aggregate, ComputeContext, EbspError, FnLoader, Job, JobProperties, JobRunner,
-    LoadSink, RunMetrics, RunOptions, RunOutcome, SumI64,
+    LoadSink, Loader, RunMetrics, RunOptions, RunOutcome, SumI64,
 };
 use ripple_kv::{DurableStore, HealableStore, KvStore, RecoverableStore, Table};
 use ripple_wire::{ByteReader, ByteWriter, Decode, Encode, WireError};
@@ -301,70 +302,17 @@ impl<S: KvStore> SelectiveInstance<S> {
         changes: &[GraphChange],
     ) -> Result<RunOutcome, EbspError> {
         let seeds = self.seed_batch(changes)?;
-        runner.launch(
-            self.job(),
-            RunOptions::new().loaders(vec![Box::new(FnLoader::new(
-                move |sink: &mut dyn LoadSink<SelectiveSssp>| {
-                    for (to, msg) in seeds {
-                        sink.message(to, msg)?;
-                    }
-                    Ok(())
-                },
-            ))]),
-        )
+        runner.launch(self.job(), RunOptions::new().loaders(seed_loader(seeds)))
     }
 
     /// Edits the endpoint states for one batch of primitive changes and
     /// returns the seed messages that wake the affected vertices.
-    #[allow(clippy::type_complexity)]
-    fn seed_batch(
-        &self,
-        changes: &[GraphChange],
-    ) -> Result<Vec<(VertexId, (VertexId, u32))>, EbspError> {
+    fn seed_batch(&self, changes: &[GraphChange]) -> Result<Seeds, EbspError> {
         let table = self
             .store
             .lookup_table(&self.table)
             .map_err(EbspError::Kv)?;
-        // Edit endpoint states directly (the incremental bookkeeping), and
-        // collect seed messages telling each endpoint its counterpart's
-        // current distance.
-        let mut seeds: Vec<(VertexId, (VertexId, u32))> = Vec::new();
-        let mut dist_cache: HashMap<VertexId, u32> = HashMap::new();
-        for change in changes {
-            let (u, v) = change.endpoints();
-            if u == v {
-                continue;
-            }
-            let applied = match change {
-                GraphChange::AddEdge(..) => {
-                    let added_u = edit_state(&table, u, |s| add_neighbor(s, v))?;
-                    let added_v = edit_state(&table, v, |s| add_neighbor(s, u))?;
-                    added_u || added_v
-                }
-                GraphChange::RemoveEdge(..) => {
-                    let removed_u = edit_state(&table, u, |s| remove_neighbor(s, v))?;
-                    let removed_v = edit_state(&table, v, |s| remove_neighbor(s, u))?;
-                    removed_u || removed_v
-                }
-            };
-            if applied {
-                for &(a, b) in &[(u, v), (v, u)] {
-                    let dist = match dist_cache.get(&a) {
-                        Some(d) => *d,
-                        None => {
-                            let d = read_dist(&table, a)?;
-                            dist_cache.insert(a, d);
-                            d
-                        }
-                    };
-                    // Tell b what a's distance currently is (removals are
-                    // reflected purely by the state edit; the seed makes
-                    // both endpoints recompute either way).
-                    seeds.push((b, (a, dist)));
-                }
-            }
-        }
-        Ok(seeds)
+        seed_changes(&table, changes)
     }
 
     /// Reads all distance annotations, sorted by vertex.
@@ -499,16 +447,7 @@ impl<S: RecoverableStore + HealableStore> SelectiveInstance<S> {
             .checkpoint_interval(checkpoint_interval)
             .launch(
                 self.job(),
-                RunOptions::new()
-                    .loaders(vec![Box::new(FnLoader::new(
-                        move |sink: &mut dyn LoadSink<SelectiveSssp>| {
-                            for (to, msg) in seeds {
-                                sink.message(to, msg)?;
-                            }
-                            Ok(())
-                        },
-                    ))])
-                    .recovery(),
+                RunOptions::new().loaders(seed_loader(seeds)).recovery(),
             )?;
         Ok(outcome.metrics)
     }
@@ -602,33 +541,121 @@ fn remove_neighbor(s: &mut SelState, v: VertexId) -> bool {
     }
 }
 
-fn edit_state<T: ripple_kv::Table>(
-    table: &T,
-    v: VertexId,
-    f: impl FnOnce(&mut SelState) -> bool,
-) -> Result<bool, EbspError> {
-    let key = ripple_core::key_to_routed(&v);
-    let Some(bytes) = table.get(&key).map_err(EbspError::Kv)? else {
-        return Ok(false);
-    };
-    let mut state: SelState = ripple_wire::from_wire(&bytes)?;
-    let changed = f(&mut state);
-    if changed {
-        table
-            .put(key, ripple_wire::to_wire(&state))
-            .map_err(EbspError::Kv)?;
+/// Seed messages for an update wave: `(to, (from, from's distance))`.
+type Seeds = Vec<(VertexId, (VertexId, u32))>;
+
+/// Edits the endpoint states of `changes` in `table` (the incremental
+/// bookkeeping) and collects seed messages telling each endpoint of an
+/// applied change its counterpart's current distance.
+fn seed_changes<T: Table>(table: &T, changes: &[GraphChange]) -> Result<Seeds, EbspError> {
+    let mut edits = StateEdits::<T, SelState>::new(table);
+    let mut seeds: Seeds = Vec::new();
+    for change in changes {
+        let (u, v) = change.endpoints();
+        if u == v {
+            continue;
+        }
+        let applied = match change {
+            GraphChange::AddEdge(..) => {
+                let added_u = edits.edit(u, |s| add_neighbor(s, v))?;
+                let added_v = edits.edit(v, |s| add_neighbor(s, u))?;
+                added_u || added_v
+            }
+            GraphChange::RemoveEdge(..) => {
+                let removed_u = edits.edit(u, |s| remove_neighbor(s, v))?;
+                let removed_v = edits.edit(v, |s| remove_neighbor(s, u))?;
+                removed_u || removed_v
+            }
+        };
+        if applied {
+            for &(a, b) in &[(u, v), (v, u)] {
+                // Tell b what a's distance currently is (removals are
+                // reflected purely by the state edit; the seed makes both
+                // endpoints recompute either way).  Edits never touch
+                // `dist`, so the cached state answers for the store.
+                let dist = edits.state(a)?.map_or(INF, |s| s.dist);
+                seeds.push((b, (a, dist)));
+            }
+        }
     }
-    Ok(changed)
+    edits.commit()?;
+    Ok(seeds)
 }
 
-fn read_dist<T: ripple_kv::Table>(table: &T, v: VertexId) -> Result<u32, EbspError> {
-    let key = ripple_core::key_to_routed(&v);
-    match table.get(&key).map_err(EbspError::Kv)? {
-        None => Ok(INF),
-        Some(bytes) => {
-            let state: SelState = ripple_wire::from_wire(&bytes)?;
-            Ok(state.dist)
+/// The loader that delivers an update wave's seed messages.
+fn seed_loader(seeds: Seeds) -> Vec<Box<dyn Loader<SelectiveSssp>>> {
+    vec![Box::new(FnLoader::new(
+        move |sink: &mut dyn LoadSink<SelectiveSssp>| {
+            for (to, msg) in seeds {
+                sink.message(to, msg)?;
+            }
+            Ok(())
+        },
+    ))]
+}
+
+/// The vertex states one change batch edits: each touched vertex is read
+/// from the store at most once, edits apply to the cached copy in change
+/// order, and every changed state is written back through one
+/// [`Table::put_batch`] — one store round trip per destination part
+/// instead of a `get` and a `put` per edit.
+struct StateEdits<'t, T: Table, St> {
+    table: &'t T,
+    /// Per touched vertex: its state (`None` if it has none) and whether
+    /// an edit changed it.
+    cache: BTreeMap<VertexId, (Option<St>, bool)>,
+}
+
+impl<'t, T: Table, St: Encode + Decode> StateEdits<'t, T, St> {
+    fn new(table: &'t T) -> Self {
+        Self {
+            table,
+            cache: BTreeMap::new(),
         }
+    }
+
+    fn entry(&mut self, v: VertexId) -> Result<&mut (Option<St>, bool), EbspError> {
+        Ok(match self.cache.entry(v) {
+            Entry::Occupied(slot) => slot.into_mut(),
+            Entry::Vacant(slot) => {
+                let bytes = self
+                    .table
+                    .get(&ripple_core::key_to_routed(&v))
+                    .map_err(EbspError::Kv)?;
+                let state = bytes.map(|b| ripple_wire::from_wire(&b)).transpose()?;
+                slot.insert((state, false))
+            }
+        })
+    }
+
+    /// `v`'s current state, edits so far included.
+    fn state(&mut self, v: VertexId) -> Result<Option<&St>, EbspError> {
+        Ok(self.entry(v)?.0.as_ref())
+    }
+
+    /// Applies `f` to `v`'s state, returning whether it changed anything
+    /// (`false` when `v` has no state).
+    fn edit(&mut self, v: VertexId, f: impl FnOnce(&mut St) -> bool) -> Result<bool, EbspError> {
+        let (state, dirty) = self.entry(v)?;
+        let changed = state.as_mut().is_some_and(f);
+        *dirty |= changed;
+        Ok(changed)
+    }
+
+    /// Writes every changed state back in one batch.
+    fn commit(self) -> Result<(), EbspError> {
+        let records: Vec<_> = self
+            .cache
+            .into_iter()
+            .filter_map(|(v, (state, dirty))| {
+                let state = state.filter(|_| dirty)?;
+                Some((ripple_core::key_to_routed(&v), ripple_wire::to_wire(&state)))
+            })
+            .collect();
+        if records.is_empty() {
+            return Ok(());
+        }
+        self.table.put_batch(records).map_err(EbspError::Kv)
     }
 }
 
@@ -878,15 +905,14 @@ impl<S: KvStore> FullScanInstance<S> {
                 .create_table(&ripple_kv::TableSpec::new(table))
                 .map_err(EbspError::Kv)?,
         };
-        for (v, adj) in graph.iter() {
+        let states = graph.iter().map(|(v, adj)| {
             let state = FsState {
                 neighbors: adj.to_vec(),
                 dist: if v == source { 0 } else { INF },
             };
-            handle
-                .put(ripple_core::key_to_routed(&v), ripple_wire::to_wire(&state))
-                .map_err(EbspError::Kv)?;
-        }
+            (ripple_core::key_to_routed(&v), ripple_wire::to_wire(&state))
+        });
+        handle.put_batch(states.collect()).map_err(EbspError::Kv)?;
         let metrics = instance.run_waves(false)?;
         Ok((instance, metrics))
     }
@@ -904,6 +930,7 @@ impl<S: KvStore> FullScanInstance<S> {
             .store
             .lookup_table(&self.table)
             .map_err(EbspError::Kv)?;
+        let mut edits = StateEdits::<_, FsState>::new(&table);
         let mut any_removal = false;
         for change in changes {
             let (u, v) = change.endpoints();
@@ -912,16 +939,17 @@ impl<S: KvStore> FullScanInstance<S> {
             }
             match change {
                 GraphChange::AddEdge(..) => {
-                    edit_fs(&table, u, |s| fs_add(s, v))?;
-                    edit_fs(&table, v, |s| fs_add(s, u))?;
+                    edits.edit(u, |s| fs_add(s, v))?;
+                    edits.edit(v, |s| fs_add(s, u))?;
                 }
                 GraphChange::RemoveEdge(..) => {
-                    let a = edit_fs(&table, u, |s| fs_remove(s, v))?;
-                    let b = edit_fs(&table, v, |s| fs_remove(s, u))?;
+                    let a = edits.edit(u, |s| fs_remove(s, v))?;
+                    let b = edits.edit(v, |s| fs_remove(s, u))?;
                     any_removal |= a || b;
                 }
             }
         }
+        edits.commit()?;
         self.run_waves(any_removal)
     }
 
@@ -1008,25 +1036,6 @@ fn fs_remove(s: &mut FsState, v: VertexId) -> bool {
     }
 }
 
-fn edit_fs<T: ripple_kv::Table>(
-    table: &T,
-    v: VertexId,
-    f: impl FnOnce(&mut FsState) -> bool,
-) -> Result<bool, EbspError> {
-    let key = ripple_core::key_to_routed(&v);
-    let Some(bytes) = table.get(&key).map_err(EbspError::Kv)? else {
-        return Ok(false);
-    };
-    let mut state: FsState = ripple_wire::from_wire(&bytes)?;
-    let changed = f(&mut state);
-    if changed {
-        table
-            .put(key, ripple_wire::to_wire(&state))
-            .map_err(EbspError::Kv)?;
-    }
-    Ok(changed)
-}
-
 fn accumulate(total: &mut RunMetrics, part: &RunMetrics) {
     total.steps += part.steps;
     total.barriers += part.barriers;
@@ -1063,7 +1072,11 @@ pub fn bfs_oracle(graph: &MutableGraph, source: VertexId) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use ripple_kv::{KvError, RoutedKey};
+    use ripple_store_mem::MemStore;
     use ripple_wire::{from_wire, to_wire};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn codecs_roundtrip() {
@@ -1119,6 +1132,106 @@ mod tests {
             dist: 3,
         };
         assert_eq!(empty.recompute(2, 0, 100), INF);
+    }
+
+    /// Counts the point reads and writes that reach a table.
+    #[derive(Clone)]
+    struct Counting<T> {
+        inner: T,
+        gets: Arc<AtomicU64>,
+        puts: Arc<AtomicU64>,
+        batches: Arc<AtomicU64>,
+    }
+
+    impl<T: Table> Table for Counting<T> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn part_count(&self) -> u32 {
+            self.inner.part_count()
+        }
+        fn is_ubiquitous(&self) -> bool {
+            self.inner.is_ubiquitous()
+        }
+        fn partitioning_id(&self) -> u64 {
+            self.inner.partitioning_id()
+        }
+        fn get(&self, key: &RoutedKey) -> Result<Option<Bytes>, KvError> {
+            self.gets.fetch_add(1, Ordering::Relaxed);
+            self.inner.get(key)
+        }
+        fn put(&self, key: RoutedKey, value: Bytes) -> Result<Option<Bytes>, KvError> {
+            self.puts.fetch_add(1, Ordering::Relaxed);
+            self.inner.put(key, value)
+        }
+        fn put_batch(&self, pairs: Vec<(RoutedKey, Bytes)>) -> Result<(), KvError> {
+            self.batches.fetch_add(1, Ordering::Relaxed);
+            self.inner.put_batch(pairs)
+        }
+        fn delete(&self, key: &RoutedKey) -> Result<bool, KvError> {
+            self.inner.delete(key)
+        }
+        fn len(&self) -> Result<usize, KvError> {
+            self.inner.len()
+        }
+        fn clear(&self) -> Result<(), KvError> {
+            self.inner.clear()
+        }
+    }
+
+    #[test]
+    fn seed_batch_with_repeated_endpoints_reads_each_vertex_once() {
+        // A path 0-1-2-3-4, an edge 5-6, and an isolated vertex 7.
+        let mut graph = MutableGraph::new(8);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)] {
+            graph.apply(GraphChange::AddEdge(u, v));
+        }
+        let sel_store = MemStore::builder().default_parts(3).build();
+        let fs_store = MemStore::builder().default_parts(3).build();
+        let (sel, _) = SelectiveInstance::initialize(&sel_store, "sel", graph.graph(), 0).unwrap();
+        let (fs, _) = FullScanInstance::initialize(&fs_store, "fs", graph.graph(), 0).unwrap();
+
+        // The same edge added then removed; vertex 2 touched by four
+        // changes; a self-loop that touches nothing.
+        let batch = [
+            GraphChange::AddEdge(4, 5),
+            GraphChange::RemoveEdge(4, 5),
+            GraphChange::AddEdge(2, 6),
+            GraphChange::RemoveEdge(1, 2),
+            GraphChange::AddEdge(0, 7),
+            GraphChange::AddEdge(2, 5),
+            GraphChange::AddEdge(2, 0),
+            GraphChange::AddEdge(3, 3),
+        ];
+        let touched: std::collections::BTreeSet<VertexId> = batch
+            .iter()
+            .map(GraphChange::endpoints)
+            .filter(|(u, v)| u != v)
+            .flat_map(|(u, v)| [u, v])
+            .collect();
+        for change in batch {
+            graph.apply(change);
+        }
+
+        let counting = Counting {
+            inner: sel_store.lookup_table("sel").unwrap(),
+            gets: Arc::default(),
+            puts: Arc::default(),
+            batches: Arc::default(),
+        };
+        let seeds = seed_changes(&counting, &batch).unwrap();
+        let gets = counting.gets.load(Ordering::Relaxed);
+        assert!(gets <= touched.len() as u64, "{gets} gets for {touched:?}");
+        assert_eq!(counting.puts.load(Ordering::Relaxed), 0);
+        assert_eq!(counting.batches.load(Ordering::Relaxed), 1);
+        JobRunner::new(sel_store.clone())
+            .launch(sel.job(), RunOptions::new().loaders(seed_loader(seeds)))
+            .unwrap();
+        fs.apply_batch(&batch).unwrap();
+
+        let oracle: Vec<(VertexId, u32)> = (0..).zip(bfs_oracle(&graph, 0)).collect();
+        assert_eq!(sel.distances().unwrap(), oracle);
+        assert_eq!(fs.distances().unwrap(), oracle);
     }
 
     #[test]

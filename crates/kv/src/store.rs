@@ -105,6 +105,10 @@ pub trait KvStore: Clone + Send + Sync + Sized + 'static {
     /// it as a traffic optimization.  The fold itself must be registered
     /// under the same name on every process that hosts the table's parts.
     ///
+    /// The engine installs a job's loaded initial states with `put_batch`
+    /// too, so binding a combiner to a job's *state* table would make
+    /// those loads fold into resident values; that is unsupported.
+    ///
     /// # Errors
     ///
     /// Fails with [`KvError::NoSuchTable`] when `table` does not exist.

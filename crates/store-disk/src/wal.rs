@@ -124,6 +124,12 @@ pub(crate) trait WalSink {
     fn replayed(&self, part: u32, records: u64);
 }
 
+/// Buffer capacity a writer keeps across flushes.  One large batch (a
+/// job's loaded states, a spill) grows the buffer well past it; shrinking
+/// back at the flush keeps that batch from pinning the memory for the
+/// shard's lifetime.
+const RETAINED_BUF: usize = 64 * 1024;
+
 /// The buffered appender for one shard's current log generation.
 ///
 /// Records accumulate in a userspace buffer; nothing reaches the file (or
@@ -203,6 +209,7 @@ impl WalWriter {
             sink.wal_bytes(self.part, self.buf.len() as u64);
             self.file_bytes += self.buf.len() as u64;
             self.buf.clear();
+            self.buf.shrink_to(RETAINED_BUF);
             self.unsynced_file = true;
         }
         self.pending = 0;
@@ -221,6 +228,7 @@ impl WalWriter {
     pub(crate) fn reset_after_snapshot(&mut self) {
         self.gen += 1;
         self.buf.clear();
+        self.buf.shrink_to(RETAINED_BUF);
         self.pending = 0;
         self.file_bytes = 0;
         self.unsynced_file = false;
@@ -621,6 +629,22 @@ mod tests {
             replayed.map.get(&key(0, "b")),
             Some(&Bytes::from_static(b"2"))
         );
+    }
+
+    #[test]
+    fn a_flushed_large_batch_does_not_pin_its_buffer() {
+        let dir = crate::testutil::TempDir::new("wal-shrink");
+        let mut w = WalWriter::new(dir.path().to_owned(), 0, 1, 0);
+        w.append(&WalRecord::Put {
+            key: key(0, "big"),
+            value: Bytes::copy_from_slice(&vec![7u8; 4 * RETAINED_BUF]),
+        });
+        assert!(w.buf.capacity() > RETAINED_BUF);
+        w.write_out(false, &NullSink).unwrap();
+        assert_eq!(w.buffered(), 0);
+        assert!(w.buf.capacity() <= RETAINED_BUF);
+        let replayed = replay_shard(dir.path(), "t", 0, &NullSink).unwrap();
+        assert_eq!(replayed.map.len(), 1);
     }
 
     #[test]
